@@ -70,11 +70,16 @@ void SetNumThreads(int64_t n);
 
 // Invokes fn(chunk_begin, chunk_end) for every chunk of the fixed
 // partition of [begin, end) into `grain`-sized pieces (the last chunk may
-// be short), spread across the pool. The calling thread participates, so a
-// serial environment degrades to an in-order loop over the same chunks.
-// `fn` must be safe to run concurrently on disjoint chunks. Nested calls
-// from inside a chunk run serially on the calling worker. Blocks until
-// every chunk has run, so `fn` is borrowed, never copied.
+// be short). Blocks until every chunk has run, so `fn` is borrowed, never
+// copied. `fn` must be safe to run concurrently on disjoint chunks.
+//
+// The partition is dispatched to the pool (the calling thread
+// participates) only when there is more than one chunk, the pool has more
+// than one thread, and the caller is not inside a chunk (nested call).
+// Otherwise the same chunks run in order on the calling thread, with no
+// Job and no worker wakeup. Callers therefore pick `grain` by cost: a
+// range worth less than one chunk of work never pays for a pool wakeup
+// (see MatMul in tensor_ops.cc).
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  internal::FunctionRef<void(int64_t, int64_t)> fn);
 
@@ -88,10 +93,12 @@ double ParallelSum(int64_t begin, int64_t end, int64_t grain,
 // Cumulative scheduling counters since process start, for the
 // observability layer's pool-occupancy metric. Counters only grow; sample
 // before and after a region and subtract to measure it.
-// worker_chunks/chunks is the fraction of pool-dispatched work actually
-// executed by pool workers (the rest ran on the calling thread);
-// serial_chunks counts chunks that took the serial path (single-thread
-// pool, nested calls, or single-chunk ranges).
+// jobs counts ParallelFor calls dispatched to the pool, and chunks the
+// chunks those jobs ran; worker_chunks/chunks is the fraction of that
+// work executed by pool workers (the rest ran on the calling thread).
+// serial_chunks counts chunks that ran on the serial path instead: a
+// single-thread pool, nested calls, and ranges of one chunk, which is
+// where a cost-sized grain (MatMul below its cutoff) lands.
 struct PoolStats {
   int64_t jobs = 0;
   int64_t chunks = 0;

@@ -68,7 +68,12 @@ StatusOr<std::string> StripAndVerifyCrc(const std::string& text) {
     return Status::InvalidArgument("crc32 trailer not on its own line");
   }
   std::string digits = text.substr(pos + std::strlen(kCrcKey));
-  if (!digits.empty() && digits.back() == '\n') digits.pop_back();
+  // Newline-terminated like every record: a file that lost its last byte is
+  // truncated, not tolerated.
+  if (digits.empty() || digits.back() != '\n') {
+    return Status::InvalidArgument("truncated: unterminated crc32 trailer");
+  }
+  digits.pop_back();
   if (digits.size() != 8 ||
       digits.find_first_not_of("0123456789abcdef") != std::string::npos) {
     return Status::InvalidArgument("malformed crc32 trailer");

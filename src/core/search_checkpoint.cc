@@ -289,10 +289,14 @@ StatusOr<SearchCheckpoint> DecodeSearchCheckpoint(const std::string& text) {
     return Status::InvalidArgument("checkpoint missing crc32 trailer");
   }
   // Strict trailer: exactly eight lowercase hex digits (the encoder's %08x)
-  // plus an optional final newline. Anything else — including stray bytes
-  // after the digits — is a corrupt file.
+  // plus the final newline. Anything else — stray bytes after the digits,
+  // or a file that lost its last byte — is a corrupt file.
   std::string trailer = text.substr(marker + sizeof(kCrcKey) - 1);
-  if (!trailer.empty() && trailer.back() == '\n') trailer.pop_back();
+  if (trailer.empty() || trailer.back() != '\n') {
+    return Status::InvalidArgument(
+        "checkpoint truncated: unterminated trailer");
+  }
+  trailer.pop_back();
   if (trailer.size() != 8 ||
       trailer.find_first_not_of("0123456789abcdef") != std::string::npos) {
     return Status::InvalidArgument("malformed crc32 trailer: " + trailer);

@@ -14,6 +14,12 @@ namespace {
 constexpr int64_t kElementwiseGrain = 16384;
 constexpr int64_t kReduceGrain = 8192;
 constexpr int64_t kCopyGrain = 16384;
+// MatMul sizes its chunks by work, not by item count: each chunk carries
+// at least this many flops, so a product worth less than one chunk (every
+// batched product at the search and serving shapes) runs inline instead of
+// paying a pool wakeup that costs more than it saves. Chosen with
+// bench_micro_ops (BM_MatMulSweep, BM_BatchedMatMul) on a 4-core x86 host.
+constexpr int64_t kMinMatMulChunkFlops = int64_t{1} << 19;
 
 // Zero-initialized per-axis scratch (strides, multi-indices) for the kernel
 // hot paths. Inline storage covers every rank this codebase produces; a
@@ -409,11 +415,15 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   const int64_t b_mat = k * n;
   const int64_t o_mat = m * n;
   // Parallelize over batch x row-block work items: each item owns a
-  // disjoint slab of kRowBlock output rows, so scheduling cannot change any
-  // accumulation order.
+  // disjoint slab of kRowBlock output rows, so neither the grain nor
+  // scheduling can change any accumulation order. The grain depends only
+  // on (m, k, n).
   const int64_t row_blocks = (m + kRowBlock - 1) / kRowBlock;
+  const int64_t item_flops = std::max<int64_t>(1, 2 * kRowBlock * k * n);
+  const int64_t grain =
+      std::max<int64_t>(1, kMinMatMulChunkFlops / item_flops);
   ParallelFor(
-      0, plan.num_batches * row_blocks, /*grain=*/1,
+      0, plan.num_batches * row_blocks, grain,
       [&](int64_t lo, int64_t hi) {
         for (int64_t item = lo; item < hi; ++item) {
           const int64_t batch_idx = item / row_blocks;

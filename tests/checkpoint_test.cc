@@ -220,12 +220,14 @@ TEST(SearchCheckpointCodec, RejectsTruncationAtEveryRecordBoundary) {
 TEST(SearchCheckpointCodec, RejectsTruncationMidRecord) {
   const std::string text =
       EncodeSearchCheckpoint(MakeSyntheticCheckpoint());
-  // Every proper prefix short of the final newline must fail to load; walk
-  // a stride plus the extremes.
-  for (size_t cut = 0; cut + 1 < text.size(); cut += 7) {
+  // Every proper prefix must fail to load, down to the one that lost only
+  // the final newline; walk a stride plus the extremes.
+  for (size_t cut = 0; cut < text.size(); cut += 7) {
     EXPECT_FALSE(DecodeSearchCheckpoint(text.substr(0, cut)).ok())
         << "mid-record truncation at byte " << cut << " was not rejected";
   }
+  EXPECT_FALSE(DecodeSearchCheckpoint(text.substr(0, text.size() - 1)).ok())
+      << "a checkpoint without its final newline was accepted";
   EXPECT_FALSE(DecodeSearchCheckpoint("").ok());
 }
 

@@ -249,13 +249,18 @@ TEST(EvalCheckpointCodec, RejectsCorruptionAndTruncation) {
     EXPECT_FALSE(DecodeEvalCheckpoint(corrupt).ok())
         << "flip at offset " << offset << " was accepted";
   }
-  // Truncation at every line boundary.
+  // Truncation at every line boundary, on either side of the newline,
+  // through the final one (only the whole file may load).
   for (size_t pos = text.find('\n'); pos != std::string::npos;
        pos = text.find('\n', pos + 1)) {
-    if (pos + 1 == text.size()) break;
-    EXPECT_FALSE(DecodeEvalCheckpoint(text.substr(0, pos + 1)).ok())
-        << "truncation at byte " << pos + 1 << " was accepted";
+    for (const size_t cut : {pos, pos + 1}) {
+      if (cut == text.size()) continue;
+      EXPECT_FALSE(DecodeEvalCheckpoint(text.substr(0, cut)).ok())
+          << "truncation at byte " << cut << " was accepted";
+    }
   }
+  EXPECT_FALSE(DecodeEvalCheckpoint(text.substr(0, text.size() - 1)).ok())
+      << "a checkpoint without its final newline was accepted";
   EXPECT_FALSE(DecodeEvalCheckpoint("").ok());
 }
 

@@ -85,6 +85,64 @@ TEST(ParallelFor, NestedCallsRunWithoutDeadlock) {
   SetNumThreads(1);
 }
 
+// Pool jobs dispatched while `fn` runs (GetPoolStats deltas).
+template <typename Fn>
+int64_t PoolJobsDuring(Fn&& fn) {
+  const int64_t before = GetPoolStats().jobs;
+  fn();
+  return GetPoolStats().jobs - before;
+}
+
+TEST(ParallelDispatch, SearchShapeMatMulRunsInline) {
+  SetNumThreads(4);
+  Rng rng(23);
+  // The supernet's per-edge projection: [batch, time, nodes, D] x [D, D].
+  const Tensor a = Tensor::Randn({8, 12, 8, 16}, &rng);
+  const Tensor b = Tensor::Randn({16, 16}, &rng);
+  EXPECT_EQ(PoolJobsDuring([&] { MatMul(a, b); }), 0);
+  SetNumThreads(1);
+}
+
+TEST(ParallelDispatch, LargeMatMulStillUsesThePool) {
+  SetNumThreads(4);
+  Rng rng(24);
+  const Tensor a = Tensor::Randn({256, 256}, &rng);
+  const Tensor b = Tensor::Randn({256, 256}, &rng);
+  EXPECT_GE(PoolJobsDuring([&] { MatMul(a, b); }), 1);
+  SetNumThreads(1);
+}
+
+// The MatMul grain is sized by flops, so shapes on either side of the
+// inline cutoff — row tails (m % 4 != 0), broadcast batches, one-chunk and
+// many-chunk products — must give the same bits at any thread count.
+TEST(ParallelDispatch, MatMulAcrossTheCutoffIsBitIdentical) {
+  Rng rng(25);
+  const std::vector<std::pair<Shape, Shape>> shapes = {
+      {{8, 12, 8, 16}, {16, 16}},    // search shape, inline
+      {{63, 64}, {64, 64}},          // one chunk, row tail
+      {{5, 37, 64}, {64, 64}},       // several chunks, row tail
+      {{2, 1, 66, 48}, {3, 48, 40}}, // broadcast batch, row tail
+      {{130, 130}, {130, 130}},      // many chunks, row and column tails
+  };
+  bool saw_inline = false;
+  bool saw_pool = false;
+  for (const auto& [lhs_shape, rhs_shape] : shapes) {
+    const Tensor lhs = Tensor::Randn(lhs_shape, &rng);
+    const Tensor rhs = Tensor::Randn(rhs_shape, &rng);
+    SetNumThreads(1);
+    const Tensor serial = MatMul(lhs, rhs);
+    SetNumThreads(4);
+    Tensor threaded;
+    const int64_t jobs = PoolJobsDuring([&] { threaded = MatMul(lhs, rhs); });
+    (jobs == 0 ? saw_inline : saw_pool) = true;
+    EXPECT_TRUE(BitIdentical(serial, threaded));
+    EXPECT_TRUE(BitIdentical(serial, MatMulNaive(lhs, rhs)));
+  }
+  EXPECT_TRUE(saw_inline);
+  EXPECT_TRUE(saw_pool);
+  SetNumThreads(1);
+}
+
 TEST(ParallelSum, BitIdenticalAcrossThreadCounts) {
   Rng rng(21);
   const Tensor data = Tensor::Randn({100000}, &rng);

@@ -28,11 +28,12 @@
 #
 # The observability suites (observability_test and determinism_test, ctest
 # label "observability") plus parallel_test, buffer_pool_test,
-# bounded_queue_test, and eval_scheduler_test are likewise run under
-# ThreadSanitizer: the tracer's
+# bounded_queue_test, eval_scheduler_test, serve_test, and net_test are
+# likewise run under ThreadSanitizer: the tracer's
 # thread-local ring buffers, the metrics registry, the pool's per-bucket
-# free lists, and the eval scheduler's worker threads + completion inbox
-# are exercised concurrently, and TSan is the tool that proves those
+# free lists, the eval scheduler's worker threads + completion inbox, and
+# the forecast server's workers (shared kernel pool, promise handoffs) are
+# exercised concurrently, and TSan is the tool that proves those
 # paths race-free. Set AUTOCTS_SKIP_TSAN=1 to skip.
 #
 # Optional: AUTOCTS_SANITIZE=thread|address|undefined ./tools/tier1_verify.sh
@@ -81,15 +82,16 @@ fi
 
 # TSan pass over the observability suite (+ parallel_test, which drives
 # the same thread pool the tracer instruments, buffer_pool_test for the
-# pool's cross-thread acquire/release paths, and bounded_queue_test for
-# the MPMC queue under the forecast server).
+# pool's cross-thread acquire/release paths, bounded_queue_test for the
+# MPMC queue under the forecast server, and serve_test and net_test, whose
+# server worker threads call the shared kernel pool concurrently).
 if [[ -z "${AUTOCTS_SANITIZE:-}" && -z "${AUTOCTS_SKIP_TSAN:-}" ]]; then
   cmake -B build-thread -S . -DAUTOCTS_SANITIZE=thread
   cmake --build build-thread -j --target observability_test \
       --target determinism_test --target parallel_test \
       --target buffer_pool_test --target eval_scheduler_test \
-      --target bounded_queue_test
+      --target bounded_queue_test --target serve_test --target net_test
   AUTOCTS_NUM_THREADS=4 ctest --test-dir build-thread \
-      -R 'observability_test|determinism_test|parallel_test|buffer_pool_test|eval_scheduler_test|bounded_queue_test' \
+      -R 'observability_test|determinism_test|parallel_test|buffer_pool_test|eval_scheduler_test|bounded_queue_test|serve_test|net_test' \
       --output-on-failure
 fi
